@@ -14,6 +14,14 @@ DDL file without changing it, vendor files copied across projects, and
 whole corpora re-run after an unrelated code change — so the cache turns
 the dominant cost of a re-run into dictionary lookups.
 
+A blob that misses is still mostly old news: consecutive versions of a
+schema share most of their statements (the paper's RQ1: most schemas
+barely change).  Both misses therefore parse through one in-memory
+:class:`~repro.schema.builder.StatementMemo`, which parses each
+distinct top-level statement once and shares its AST between versions;
+the collection scan of a first version thus leaves every statement
+parsed for the ``build_schema`` that follows.
+
 An optional on-disk layer (``cache_dir``) persists both maps as pickles
 keyed by content hash; a warm re-run of the same corpus then performs
 zero ``build_schema`` calls, which the :class:`CacheCounters` expose for
@@ -31,15 +39,15 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.diff import TransitionDiff, diff_schemas
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import trace
-from repro.schema.builder import build_schema
+from repro.schema.builder import StatementMemo, build_schema
 from repro.schema.model import Schema
 from repro.sqlddl.ast import CreateTable
-from repro.sqlddl.parser import parse_script
 
-#: The cached functions the counters are split by.
-CACHE_KINDS = ("schema", "diff", "scan")
+#: The cached functions the counters are split by; ``statement`` counts
+#: per-statement parses served by (or added to) the statement memo.
+CACHE_KINDS = ("schema", "diff", "scan", "statement")
 
 
 class CacheCounters:
@@ -74,6 +82,10 @@ class CacheCounters:
 
     def miss(self, kind: str) -> None:
         self._misses[kind].inc()
+
+    def counters(self, kind: str) -> tuple[Counter, Counter]:
+        """The ``(hits, misses)`` counters of one kind."""
+        return self._hits[kind], self._misses[kind]
 
     # -- the classic read API, now registry-backed ------------------------
 
@@ -111,6 +123,15 @@ class CacheCounters:
         return self._misses["scan"].value
 
     @property
+    def statement_hits(self) -> int:
+        return self._hits["statement"].value
+
+    @property
+    def statement_misses(self) -> int:
+        """Distinct statements parsed (whole-text fallbacks excluded)."""
+        return self._misses["statement"].value
+
+    @property
     def build_schema_calls(self) -> int:
         """How many times the cache actually invoked ``build_schema``."""
         return self.schema_misses
@@ -125,6 +146,8 @@ class CacheCounters:
             "diff_disk_hits": self.diff_disk_hits,
             "scan_hits": self.scan_hits,
             "scan_misses": self.scan_misses,
+            "statement_hits": self.statement_hits,
+            "statement_misses": self.statement_misses,
         }
 
 
@@ -144,7 +167,8 @@ class SchemaCache:
 
     With ``cache_dir`` set, every miss is also persisted to disk
     (``<dir>/schemas/<key>.pkl`` and ``<dir>/diffs/<key>.pkl``) and
-    future processes warm-start from there.
+    future processes warm-start from there.  The statement memo behind
+    both parse misses lives in memory only, for the cache's lifetime.
     """
 
     def __init__(
@@ -158,6 +182,7 @@ class SchemaCache:
         self._diffs: dict[tuple[str, str], TransitionDiff] = {}
         self._schema_keys: dict[int, str] = {}  # id(schema) -> canonical key
         self.counters = CacheCounters(registry)
+        self._statements = StatementMemo(*self.counters.counters("statement"))
         self._dir = Path(cache_dir) if cache_dir is not None else None
         if self._dir is not None:
             (self._dir / "schemas").mkdir(parents=True, exist_ok=True)
@@ -190,7 +215,9 @@ class SchemaCache:
             # The span makes warm runs provable from the trace alone:
             # zero `build_schema` spans == zero parses happened.
             with trace("build_schema", key=key[:12]):
-                schema = build_schema(text, lenient=lenient, dialect=dialect)
+                schema = build_schema(
+                    text, lenient=lenient, dialect=dialect, memo=self._statements
+                )
             self._store_pickle("schemas", key, schema)
             disk_hit = False
         else:
@@ -207,7 +234,11 @@ class SchemaCache:
         return schema
 
     def has_create_table(self, text: str) -> bool:
-        """Memoized collection-stage scan: does *text* declare a table?"""
+        """Memoized collection-stage scan: does *text* declare a table?
+
+        The scan parses through the statement memo, so the
+        ``build_schema`` of the same version re-parses nothing.
+        """
         if "create" not in text.lower():
             return False
         key = text_key(text)
@@ -219,7 +250,9 @@ class SchemaCache:
         disk_hit = verdict is not None
         if not disk_hit:
             with trace("scan_create_table", key=key[:12]):
-                verdict = any(isinstance(s, CreateTable) for s in parse_script(text))
+                verdict = any(
+                    isinstance(s, CreateTable) for s in self._statements.parse(text)
+                )
             self._store_pickle("scans", key, verdict)
         with self._lock:
             self._scans[key] = verdict

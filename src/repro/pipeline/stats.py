@@ -230,7 +230,8 @@ class PipelineStats:
             f"  cache schema {c.schema_hits} hits / {c.schema_misses} misses "
             f"({c.schema_disk_hits} from disk), "
             f"diff {c.diff_hits} hits / {c.diff_misses} misses, "
-            f"scan {c.scan_hits} hits / {c.scan_misses} misses"
+            f"scan {c.scan_hits} hits / {c.scan_misses} misses, "
+            f"statement {c.statement_hits} hits / {c.statement_misses} misses"
         )
         lines.append(f"  build_schema calls: {c.build_schema_calls}")
         if self.retries or self.faults_injected:

@@ -6,11 +6,17 @@ TABLE`` / ``RENAME TABLE`` statements against an (initially empty)
 schema and returns the resulting logical snapshot.  Non-DDL statements
 and sub-logical details (indexes, engines, comments) are counted but do
 not affect the result.
+
+Parsing is memoized per statement when a :class:`StatementMemo` is
+given: consecutive versions of one DDL file are mostly the same
+statements, so each distinct statement is parsed once and its AST is
+shared by every version that contains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.schema.model import Attribute, Schema, Table
 from repro.sqlddl.ast import (
@@ -25,7 +31,11 @@ from repro.sqlddl.ast import (
     RenameTable,
     Statement,
 )
+from repro.sqlddl.lexer import split_statements
 from repro.sqlddl.parser import parse_script
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import Counter
 
 
 class SchemaBuildError(Exception):
@@ -222,18 +232,88 @@ def apply_statements(
     return schema
 
 
+class StatementMemo:
+    """Parsed statements by dialect-qualified statement text.
+
+    :meth:`parse` cuts a script into its top-level statements
+    (:func:`~repro.sqlddl.lexer.split_statements`) and parses only the
+    ones it has not seen; the frozen AST tuples are shared between all
+    versions that contain them.  A script the splitter is unsure of is
+    parsed whole, exactly as without a memo.
+
+    Safe to share between threads without a lock: two threads may race
+    to parse the same new statement, but ``dict.setdefault`` keeps one
+    tuple per key.  ``hits`` and ``misses``, when given, count the
+    statement lookups.
+    """
+
+    def __init__(self, hits: Counter | None = None, misses: Counter | None = None) -> None:
+        self._parsed: dict[tuple[str, str], tuple[Statement, ...]] = {}
+        self._hits = hits
+        self._misses = misses
+
+    def __len__(self) -> int:
+        return len(self._parsed)
+
+    def parse(self, text: str, dialect: str = "mysql") -> list[Statement]:
+        """The statements of *text*, equal to a whole-text parse."""
+        name, preprocess, parse = _parser_for(dialect)
+        if preprocess is not None:
+            # Preprocessing (PostgreSQL casts and COPY data blocks) runs
+            # on the whole text, so it need not respect statement ends.
+            text = preprocess(text)
+        pieces = split_statements(text)
+        if pieces is None:
+            return list(parse(text))
+        parsed = self._parsed
+        statements: list[Statement] = []
+        misses = 0
+        for piece in pieces:
+            key = (name, piece)
+            found = parsed.get(key)
+            if found is None:
+                misses += 1
+                found = parsed.setdefault(key, tuple(parse(piece)))
+            statements.extend(found)
+        if self._hits is not None and len(pieces) > misses:
+            self._hits.inc(len(pieces) - misses)
+        if self._misses is not None and misses:
+            self._misses.inc(misses)
+        return statements
+
+
+def _parser_for(dialect: str):
+    """``(canonical dialect name, preprocess or None, parse)``.
+
+    MySQL keeps the historical direct ``parse_script`` path; the other
+    frontends preprocess, then parse through ``parse_preprocessed``.
+    """
+    if dialect and dialect != "mysql":
+        from repro.sqlddl.dialects import frontend_for  # cycle-free late import
+
+        frontend = frontend_for(dialect)
+        if frontend.name != "mysql":
+            return frontend.name, frontend.preprocess, frontend.parse_preprocessed
+    return "mysql", None, parse_script
+
+
 def build_schema(
     text: str,
     lenient: bool = True,
     report: BuildReport | None = None,
     dialect: str = "mysql",
+    memo: StatementMemo | None = None,
 ) -> Schema:
     """Parse *text* and build the logical schema it declares.
 
     ``dialect`` selects the frontend (see :mod:`repro.sqlddl.dialects`);
-    the default is the historical direct ``parse_script`` path.
+    the default is the historical direct ``parse_script`` path.  With a
+    ``memo``, each distinct statement is parsed once across calls
+    (see :class:`StatementMemo`); the schema is the same either way.
     """
-    if dialect and dialect != "mysql":
+    if memo is not None:
+        statements = memo.parse(text, dialect)
+    elif dialect and dialect != "mysql":
         from repro.sqlddl.dialects import parse_script_for
 
         statements = parse_script_for(text, dialect)

@@ -16,7 +16,7 @@ parse is dialect-blind.
 
 from repro.sqlddl.errors import SqlSyntaxError, UnsupportedDialectError
 from repro.sqlddl.tokens import Token, TokenKind
-from repro.sqlddl.lexer import Lexer, tokenize
+from repro.sqlddl.lexer import Lexer, split_statements, tokenize
 from repro.sqlddl.types import DataType, normalize_type
 from repro.sqlddl.ast import (
     AlterAction,
@@ -69,5 +69,6 @@ __all__ = [
     "normalize_type",
     "parse_script",
     "parse_statement",
+    "split_statements",
     "tokenize",
 ]

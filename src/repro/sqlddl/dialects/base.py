@@ -60,6 +60,10 @@ class DialectFrontend(Protocol):
         """Parse *text* into the canonical statement AST."""
         ...
 
+    def parse_preprocessed(self, text: str, strict: bool = False) -> list[Statement]:
+        """:meth:`parse` of text :meth:`preprocess` already rewrote."""
+        ...
+
 
 class BaseFrontend:
     """Shared frontend skeleton: preprocess → shared parser → type pass.
@@ -81,8 +85,16 @@ class BaseFrontend:
         return data_type
 
     def parse(self, text: str, strict: bool = False) -> list[Statement]:
+        return self.parse_preprocessed(self.preprocess(text), strict=strict)
+
+    def parse_preprocessed(self, text: str, strict: bool = False) -> list[Statement]:
+        """Parse text that :meth:`preprocess` has already rewritten.
+
+        A script's statements can be parsed one at a time this way
+        (see :class:`~repro.schema.builder.StatementMemo`).
+        """
         statements = parse_script(
-            self.preprocess(text),
+            text,
             strict=strict,
             typeless_columns=self.typeless_columns,
         )

@@ -21,22 +21,28 @@ from typing import Iterator
 from repro.sqlddl.errors import SqlLexError
 from repro.sqlddl.tokens import Token, TokenKind
 
+#: The lexer's token rules, in match order.  The statement splitter
+#: (:func:`split_statements`) builds its pattern from the same
+#: fragments, so the two can never disagree on where a quoted region or
+#: a comment starts and ends.
+_FRAGMENTS = {
+    "WS": r"[ \t\r\n\f\v]+",
+    "LINECOMMENT": r"--[^\n]*|\#[^\n]*",
+    "EXECOPEN": r"/\*!\d*",
+    "BLOCKCOMMENT": r"/\*(?!!)(?:[^*]|\*(?!/))*\*/",
+    "EXECCLOSE": r"\*/",
+    "STRING": r"'(?:[^'\\]|\\.|'')*'",
+    "BACKTICK": r"`(?:[^`]|``)*`",
+    "DQUOTE": r'"(?:[^"]|"")*"',
+    "BRACKET": r"\[[^\]]*\]",
+    "NUMBER": r"[0-9]+(?:\.[0-9]+)?",
+    "WORD": r"[A-Za-z_$][A-Za-z0-9_$]*",
+    "VARIABLE": r"@@?[A-Za-z0-9_$]*",
+    "PUNCT": r"[(),;.]",
+}
+
 _MASTER = re.compile(
-    r"""
-      (?P<WS>[ \t\r\n\f\v]+)
-    | (?P<LINECOMMENT>--[^\n]*|\#[^\n]*)
-    | (?P<EXECOPEN>/\*!\d*)
-    | (?P<BLOCKCOMMENT>/\*(?!!)(?:[^*]|\*(?!/))*\*/)
-    | (?P<EXECCLOSE>\*/)
-    | (?P<STRING>'(?:[^'\\]|\\.|'')*')
-    | (?P<BACKTICK>`(?:[^`]|``)*`)
-    | (?P<DQUOTE>"(?:[^"]|"")*")
-    | (?P<BRACKET>\[[^\]]*\])
-    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
-    | (?P<WORD>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<VARIABLE>@@?[A-Za-z0-9_$]*)
-    | (?P<PUNCT>[(),;.])
-    """,
+    "|".join(f"(?P<{name}>{fragment})" for name, fragment in _FRAGMENTS.items()),
     re.VERBOSE | re.DOTALL,
 )
 
@@ -66,6 +72,77 @@ def _decode_string(raw: str) -> str:
         return _STRING_ESCAPES.get(escaped, escaped)
 
     return _ESCAPE_RE.sub(replace, body)
+
+
+#: The splitter's pattern: the lexer's quoted-region and comment rules
+#: (so a ';' or a parenthesis inside them is never seen), the three
+#: punctuation marks that decide a cut, and -- last -- the openers of a
+#: region whose rule failed to match, i.e. an unterminated quote or
+#: block comment.  Executable comments (``/*!40101 ... */``) are lexed
+#: inline by the lexer, so their opener and closer are skipped as plain
+#: tokens here too.
+_SPLITTER = re.compile(
+    "|".join(
+        f"(?:{_FRAGMENTS[name]})"
+        for name in (
+            "LINECOMMENT", "EXECOPEN", "BLOCKCOMMENT", "EXECCLOSE",
+            "STRING", "BACKTICK", "DQUOTE", "BRACKET",
+        )
+    )
+    + r"""|(?P<CUT>;)|(?P<OPEN>\()|(?P<CLOSE>\))|(?P<UNSURE>['`"\[]|/\*)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+#: The MySQL client's ``DELIMITER`` command redefines the terminator.
+_DELIMITER = re.compile(r"^[ \t]*DELIMITER\s", re.IGNORECASE | re.MULTILINE)
+
+_WS_CHARS = " \t\r\n\f\v"
+
+
+def split_statements(text: str) -> list[str] | None:
+    """Cut a script after every top-level ``;``, or ``None`` when unsure.
+
+    A ``;`` is top-level when it lies outside every quoted region,
+    comment and parenthesis, as the lexer sees them.  The parser ends
+    the statement in progress at every such ``;``, so parsing the
+    pieces one by one yields the same statements as parsing *text*
+    whole (``repro.schema.builder`` relies on this to parse each
+    distinct statement once).  Pieces are stripped of surrounding
+    whitespace; empty ones are dropped.
+
+    The answer is ``None`` -- parse the whole text instead -- when a
+    ``DELIMITER`` command redefines the terminator (the pieces would not
+    be the file's statements), or when a quote or block comment never
+    closes (the text is malformed, and the lenient lexer's recovery
+    decides what it means).
+    """
+    if _DELIMITER.search(text):
+        return None
+    pieces: list[str] = []
+    start = 0
+    depth = 0
+    for match in _SPLITTER.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            continue  # a quoted region or a comment
+        if kind == "CUT":
+            if depth == 0:
+                end = match.end()
+                piece = text[start:end].strip(_WS_CHARS)
+                if piece != ";":
+                    pieces.append(piece)
+                start = end
+        elif kind == "OPEN":
+            depth += 1
+        elif kind == "CLOSE":
+            if depth:
+                depth -= 1
+        else:
+            return None
+    tail = text[start:].strip(_WS_CHARS)
+    if tail:
+        pieces.append(tail)
+    return pieces
 
 
 class Lexer:

@@ -93,6 +93,19 @@ class Parser:
             return self._next()
         return None
 
+    def _value(self) -> Token:
+        """Consume one token as a value -- but never a ``;``.
+
+        A bare ``;`` where a value belongs (``ENGINE=;``, ``DEFAULT ;``)
+        ends the statement rather than becoming its value, so a ``;``
+        outside parentheses always ends the statement in progress.
+        :func:`~repro.sqlddl.lexer.split_statements` relies on that.
+        """
+        token = self._peek()
+        if token.kind is TokenKind.SEMICOLON:
+            return token
+        return self._next()
+
     def _expect_word(self, *words: str) -> Token:
         token = self._next()
         if not token.is_word(*words):
@@ -277,7 +290,7 @@ class Parser:
             value = ""
             if self._peek().kind is TokenKind.OPERATOR and self._peek().value == "=":
                 self._next()
-                value = self._next().value
+                value = self._value().value
             elif self._peek().kind in (TokenKind.WORD, TokenKind.STRING, TokenKind.NUMBER):
                 value = self._next().value
             options.append((" ".join(key_parts).upper(), value))
@@ -333,8 +346,7 @@ class Parser:
                 default = self._default_value()
             elif token.is_word("COMMENT"):
                 self._next()
-                value = self._next()
-                comment = value.value
+                comment = self._value().value
             elif token.is_word("REFERENCES"):
                 # Inline FK: REFERENCES tbl (col) [ON DELETE ...]
                 self._next()
@@ -351,12 +363,12 @@ class Parser:
                 self._accept_word("SET")
                 if self._peek().kind is TokenKind.OPERATOR and self._peek().value == "=":
                     self._next()
-                self._next()
+                self._value()
             elif token.is_word("ON") and self._peek(1).is_word("UPDATE"):
                 # ON UPDATE CURRENT_TIMESTAMP
                 self._next()
                 self._next()
-                self._next()
+                self._value()
                 if self._peek().kind is TokenKind.LPAREN:
                     self._skip_parenthesized()
             elif token.is_word("GENERATED", "AS", "VIRTUAL", "STORED", "ALWAYS"):
@@ -386,14 +398,14 @@ class Parser:
     def _skip_column_fk_actions(self) -> None:
         while self._peek().is_word("ON", "MATCH"):
             self._next()  # ON / MATCH
-            self._next()  # DELETE / UPDATE / FULL...
+            self._value()  # DELETE / UPDATE / FULL...
             while self._peek().is_word("CASCADE", "RESTRICT", "SET", "NO", "NULL", "ACTION", "DEFAULT"):
                 self._next()
 
     def _default_value(self) -> str:
-        token = self._next()
+        token = self._value()
         if token.kind is TokenKind.OPERATOR and token.value == "-":
-            follow = self._next()
+            follow = self._value()
             return "-" + follow.value
         value = token.value
         if token.kind is TokenKind.STRING:
@@ -700,14 +712,15 @@ class Parser:
             new_table = self._ident()
             return AlterAction(AlterKind.RENAME_TABLE, old_name=table, raw=new_table)
         # ENGINE=..., AUTO_INCREMENT=..., CONVERT TO CHARACTER SET ... :
-        # consume tokens until , or ; at depth 0.
+        # consume tokens until , or ; outside parentheses (a stray ')'
+        # must not hide the ';' that ends the statement).
         raw_parts = []
         depth = 0
         while True:
             current = self._peek()
             if current.kind is TokenKind.EOF:
                 break
-            if depth == 0 and current.kind in (TokenKind.COMMA, TokenKind.SEMICOLON):
+            if depth <= 0 and current.kind in (TokenKind.COMMA, TokenKind.SEMICOLON):
                 break
             if current.kind is TokenKind.LPAREN:
                 depth += 1

@@ -43,6 +43,7 @@ from repro.mining.path_filters import (
     vendor_preference,
 )
 from repro.mining.selection import SelectionCriteria, select_lib_io
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace
 from repro.pipeline.cache import SchemaCache, text_key
 from repro.pipeline.pipeline import MeasurementPipeline, PipelineConfig
@@ -514,6 +515,9 @@ def ingest_stream(
 
     chunk = chunk_size if chunk_size is not None else max(8, config.jobs * 4)
     stats: PipelineStats | None = None
+    # Every chunk's cache counts into this one registry, so the run's
+    # stats cover the whole stream, not its first chunk.
+    registry = cache.counters.registry if cache is not None else MetricsRegistry()
     report.skipped_unchanged = start  # the resumed prefix is proven persisted
     with trace("ingest.stream", count=spec.count, start=start, chunk=chunk):
         for chunk_start in range(start, spec.count, chunk):
@@ -549,7 +553,11 @@ def ingest_stream(
             # A fresh in-memory cache per chunk (unless the caller pinned
             # one) keeps the parse/diff cache from growing with the
             # stream; an on-disk cache_dir shares across chunks as usual.
-            chunk_cache = cache if cache is not None else SchemaCache(config.cache_dir)
+            chunk_cache = (
+                cache
+                if cache is not None
+                else SchemaCache(config.cache_dir, registry=registry)
+            )
             pipeline = MeasurementPipeline(
                 provider=lambda name: seeds.get(name, (None, []))[0],
                 config=config,
